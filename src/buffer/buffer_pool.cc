@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <iterator>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "storage/wal/wal_manager.h"
@@ -46,11 +47,34 @@ void BufferPool::RecomputeShardCapacities() {
   }
 }
 
+BufferPool::Frame* BufferPool::Shard::Publish(size_t slot,
+                                              std::unique_ptr<Frame> f) {
+  if (slot >= table.size()) table.resize(slot + 1);
+  BURTREE_CHECK(table[slot] == nullptr);
+  table[slot] = std::move(f);
+  ++resident;
+  return table[slot].get();
+}
+
+std::unique_ptr<BufferPool::Frame> BufferPool::Shard::Detach(size_t slot) {
+  BURTREE_DCHECK(table[slot] != nullptr && !table[slot]->in_writeback);
+  --resident;
+  return std::move(table[slot]);
+}
+
 void BufferPool::WaitForWriteback(Shard& shard,
                                   std::unique_lock<std::mutex>& lock,
                                   PageId id) {
-  shard.writeback_cv.wait(
-      lock, [&] { return shard.writeback.find(id) == shard.writeback.end(); });
+  const size_t slot = slot_of(id);
+  shard.writeback_cv.wait(lock, [&] {
+    const Frame* f = shard.At(slot);
+    return f == nullptr || !f->in_writeback;
+  });
+}
+
+void BufferPool::WaitForAllWritebacks(Shard& shard,
+                                      std::unique_lock<std::mutex>& lock) {
+  shard.writeback_cv.wait(lock, [&] { return shard.writebacks == 0; });
 }
 
 void BufferPool::WaitForPageIo(Shard& shard,
@@ -71,15 +95,18 @@ void BufferPool::WaitForPageIo(Shard& shard,
 
 StatusOr<Page*> BufferPool::FetchPage(PageId id) {
   Shard& shard = ShardFor(id);
+  const size_t slot = slot_of(id);
   std::unique_lock lock(shard.mu);
   for (;;) {
-    // A victim mid-write-back is not resident, but its disk image is
-    // stale until the batch lands: wait it out before the miss path
-    // reads disk.
-    WaitForWriteback(shard, lock, id);
-    auto it = shard.frames.find(id);
-    if (it != shard.frames.end()) {
-      Frame* f = it->second.get();
+    Frame* f = shard.At(slot);
+    if (f != nullptr && f->in_writeback) {
+      // A victim mid-write-back is not resident, but its disk image is
+      // stale until the batch lands: wait it out before the miss path
+      // reads disk.
+      WaitForWriteback(shard, lock, id);
+      continue;
+    }
+    if (f != nullptr) {
       ++shard.stats.hits;
       file_->io_stats().RecordBufferHit();
       if (f->in_lru) {
@@ -138,8 +165,7 @@ StatusOr<Page*> BufferPool::FetchPage(PageId id) {
     f->page.CreateWalShadow(f->page.data());
   }
   f->page.Pin();
-  Page* page = &f->page;
-  shard.frames.emplace(id, std::move(f));
+  Page* page = &shard.Publish(slot, std::move(f))->page;
   EvictToCapacity(shard, lock);
   return page;
 }
@@ -147,29 +173,28 @@ StatusOr<Page*> BufferPool::FetchPage(PageId id) {
 Page* BufferPool::NewPage() {
   PageId id = file_->Allocate();  // the PageStore has its own latch
   Shard& shard = ShardFor(id);
+  const size_t slot = slot_of(id);
   std::unique_lock lock(shard.mu);
   if (file_->supports_async_io()) {
     // A prefetch of this slot's previous incarnation can race the
     // free/reuse cycle: its read may still be in flight, or a stale
     // clean frame may already sit in the pool. Wait the I/O out and
     // drop any stale frame (waiting out a transient optimistic-reader
-    // pin like DeletePage does) before publishing the fresh page — a
-    // duplicate emplace would silently fail and dangle.
+    // pin like DeletePage does) before publishing the fresh page into
+    // its slot.
     for (;;) {
       WaitForPageIo(shard, lock, id);
-      auto stale = shard.frames.find(id);
-      if (stale == shard.frames.end()) break;
-      Frame* sf = stale->second.get();
+      Frame* sf = shard.At(slot);
+      if (sf == nullptr) break;
       if (sf->page.pin_count() == 0) {
         if (sf->in_lru) shard.lru.erase(sf->lru_it);
-        shard.frames.erase(stale);
+        shard.Detach(slot);
         break;
       }
       ++shard.delete_waiters;
       shard.pin_cv.wait(lock, [&] {
-        auto it2 = shard.frames.find(id);
-        return it2 == shard.frames.end() ||
-               it2->second->page.pin_count() == 0;
+        const Frame* f2 = shard.At(slot);
+        return f2 == nullptr || f2->page.pin_count() == 0;
       });
       --shard.delete_waiters;
     }
@@ -178,8 +203,7 @@ Page* BufferPool::NewPage() {
   f->page.set_page_id(id);
   f->page.set_dirty(true);  // fresh page must reach disk eventually
   f->page.Pin();
-  Page* page = &f->page;
-  shard.frames.emplace(id, std::move(f));
+  Page* page = &shard.Publish(slot, std::move(f))->page;
   EvictToCapacity(shard, lock);
   return page;
 }
@@ -206,10 +230,10 @@ void BufferPool::PrefetchPages(const std::vector<PageId>& ids) {
       for (PageId id : buckets[si]) {
         // Fill free room only — counting in-flight prefetches — so a
         // completion never has to evict to publish.
-        if (sp->frames.size() + sp->prefetch_inflight >= sp->capacity) {
+        if (sp->resident + sp->prefetch_inflight >= sp->capacity) {
           break;
         }
-        if (sp->frames.count(id) != 0 || sp->writeback.count(id) != 0 ||
+        if (sp->At(slot_of(id)) != nullptr ||
             sp->miss_inflight.count(id) != 0 || pending->count(id) != 0) {
           continue;
         }
@@ -233,8 +257,8 @@ void BufferPool::PrefetchPages(const std::vector<PageId>& ids) {
             pending->erase(it);
             sp->miss_inflight.erase(id);
             --sp->prefetch_inflight;
-            if (s.ok() && sp->frames.size() < sp->capacity &&
-                sp->frames.count(id) == 0 && sp->writeback.count(id) == 0) {
+            if (s.ok() && sp->resident < sp->capacity &&
+                sp->At(slot_of(id)) == nullptr) {
               f->page.set_page_id(id);
               f->page.set_dirty(false);
               if (wal_ != nullptr) {
@@ -242,8 +266,7 @@ void BufferPool::PrefetchPages(const std::vector<PageId>& ids) {
                 // are a logged state, hence a valid diff base.
                 f->page.CreateWalShadow(f->page.data());
               }
-              Frame* fp = f.get();
-              sp->frames.emplace(id, std::move(f));
+              Frame* fp = sp->Publish(slot_of(id), std::move(f));
               sp->lru.push_front(id);
               fp->lru_it = sp->lru.begin();
               fp->in_lru = true;
@@ -272,9 +295,8 @@ void BufferPool::UnpinPage(PageId id, bool dirty) {
   if (auto_scope.active()) auto_scope.MarkAuto();
   Shard& shard = ShardFor(id);
   std::unique_lock lock(shard.mu);
-  auto it = shard.frames.find(id);
-  BURTREE_CHECK(it != shard.frames.end());
-  Frame* f = it->second.get();
+  Frame* f = shard.At(slot_of(id));
+  BURTREE_CHECK(f != nullptr && !f->in_writeback);
   BURTREE_CHECK(f->page.pin_count() > 0);
   if (dirty) {
     f->page.set_dirty(true);
@@ -298,11 +320,12 @@ void BufferPool::UnpinPage(PageId id, bool dirty) {
 
 Status BufferPool::FlushPage(PageId id) {
   Shard& shard = ShardFor(id);
+  const size_t slot = slot_of(id);
   std::unique_lock lock(shard.mu);
   for (;;) {
-    auto it = shard.frames.find(id);
-    if (it == shard.frames.end()) return Status::OK();
-    Frame& f = *it->second;
+    Frame* fp = shard.At(slot);
+    if (fp == nullptr || fp->in_writeback) return Status::OK();
+    Frame& f = *fp;
     if (wal_ == nullptr || !f.page.is_dirty()) {
       return FlushFrameLocked(shard, f);
     }
@@ -338,16 +361,16 @@ Status BufferPool::FlushAll() {
     std::unique_lock lock(shard.mu);
     // Let in-flight eviction write-backs land first so the I/O counters
     // read after FlushAll() cover them.
-    shard.writeback_cv.wait(lock, [&] { return shard.writeback.empty(); });
+    WaitForAllWritebacks(shard, lock);
     std::vector<PageWriteRequest> batch;
     std::vector<Frame*> dirty;
-    for (auto& [id, f] : shard.frames) {
-      if (!f->page.is_dirty()) continue;
+    for (const auto& f : shard.table) {
+      if (f == nullptr || !f->page.is_dirty()) continue;
       if (wal_ != nullptr &&
           (f->page.wal_pending() > 0 || f->page.wal_lsn() > durable)) {
         continue;
       }
-      batch.push_back(PageWriteRequest{id, f->page.data()});
+      batch.push_back(PageWriteRequest{f->page.page_id(), f->page.data()});
       dirty.push_back(f.get());
     }
     BURTREE_RETURN_IF_ERROR(file_->FlushDirtyBatch(batch));
@@ -362,6 +385,7 @@ Status BufferPool::FlushAll() {
 
 Status BufferPool::DeletePage(PageId id) {
   Shard& shard = ShardFor(id);
+  const size_t slot = slot_of(id);
   std::unique_lock lock(shard.mu);
   // Freeing the disk page while its eviction write-back (or a miss read)
   // is in flight would make that latch-free I/O fail: wait for it to
@@ -372,23 +396,20 @@ Status BufferPool::DeletePage(PageId id) {
   // always drains. The deadline keeps a genuinely leaked guard (a
   // caller deleting a page it still has pinned) a loud error instead of
   // a hang.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto deadline = std::chrono::steady_clock::now() + delete_pin_timeout_;
   for (;;) {
     WaitForPageIo(shard, lock, id);
-    auto it = shard.frames.find(id);
-    if (it == shard.frames.end()) break;
-    Frame* f = it->second.get();
+    Frame* f = shard.At(slot);
+    if (f == nullptr) break;
     if (f->page.pin_count() == 0) {
       if (f->in_lru) shard.lru.erase(f->lru_it);
-      shard.frames.erase(it);  // dirty content intentionally discarded
+      shard.Detach(slot);  // dirty content intentionally discarded
       break;
     }
     ++shard.delete_waiters;
     const bool drained = shard.pin_cv.wait_until(lock, deadline, [&] {
-      auto it2 = shard.frames.find(id);
-      return it2 == shard.frames.end() ||
-             it2->second->page.pin_count() == 0;
+      const Frame* f2 = shard.At(slot);
+      return f2 == nullptr || f2->page.pin_count() == 0;
     });
     --shard.delete_waiters;
     if (!drained) {
@@ -396,7 +417,7 @@ Status BufferPool::DeletePage(PageId id) {
     }
     // Re-loop: while this thread slept the drained frame may have been
     // evicted into a write-back (unpin pushes it onto the LRU), so the
-    // in-flight tables must be re-checked before touching the frame map.
+    // in-flight state must be re-checked before touching the slot.
   }
   if (wal_ != nullptr) {
     // Defer the store-level Free until the freeing record is durable:
@@ -443,7 +464,7 @@ size_t BufferPool::resident_frames() const {
   size_t n = 0;
   for (const auto& sp : shards_) {
     std::unique_lock lock(sp->mu);
-    n += sp->frames.size();
+    n += sp->resident;
   }
   return n;
 }
@@ -476,10 +497,10 @@ void BufferPool::ResetStats() {
 
 void BufferPool::EvictToCapacity(Shard& shard,
                                  std::unique_lock<std::mutex>& lock) {
-  if (shard.frames.size() <= shard.capacity) return;
+  if (shard.resident <= shard.capacity) return;
   // Detach LRU victims under the latch (clean ones die right here with
-  // zero I/O); dirty ones park in the in-flight table so the group write
-  // can run after the latch drops.
+  // zero I/O); dirty ones stay in their slots marked write-back so the
+  // group write can run after the latch drops.
   //
   // Log-before-flush: a dirty victim inside an open op scope
   // (wal_pending) or with an LSN past the durable horizon is *skipped* —
@@ -494,14 +515,14 @@ void BufferPool::EvictToCapacity(Shard& shard,
   std::vector<PageId> dirty_ids;
   size_t examined = 0;
   const size_t max_examine = shard.lru.size();
-  while (shard.frames.size() > shard.capacity && !shard.lru.empty() &&
+  while (shard.resident > shard.capacity && !shard.lru.empty() &&
          examined < max_examine) {
     ++examined;
     const PageId victim = shard.lru.back();
     shard.lru.pop_back();
-    auto it = shard.frames.find(victim);
-    BURTREE_CHECK(it != shard.frames.end());
-    Frame* f = it->second.get();
+    const size_t slot = slot_of(victim);
+    Frame* f = shard.At(slot);
+    BURTREE_CHECK(f != nullptr && !f->in_writeback);
     if (wal_ != nullptr && f->page.is_dirty() &&
         (f->page.wal_pending() > 0 || f->page.wal_lsn() > durable)) {
       shard.lru.push_front(victim);
@@ -523,12 +544,13 @@ void BufferPool::EvictToCapacity(Shard& shard,
       }
       batch.push_back(PageWriteRequest{victim, f->page.data()});
       dirty_ids.push_back(victim);
-      shard.writeback.emplace(victim, std::move(it->second));
+      f->in_writeback = true;
+      --shard.resident;
+      ++shard.writebacks;
       ++shard.stats.flushes;
     } else {
-      clean_victims.push_back(std::move(it->second));
+      clean_victims.push_back(shard.Detach(slot));
     }
-    shard.frames.erase(it);
     ++shard.stats.evictions;
   }
   // If all remaining frames are pinned the shard grows past its budget
@@ -536,8 +558,8 @@ void BufferPool::EvictToCapacity(Shard& shard,
   if (batch.empty()) return;
 
   // Write back latch-free so hits on this shard proceed during the I/O.
-  // The batch's data pointers stay valid: the in-flight frames are owned
-  // by shard.writeback and nobody touches them until the cv fires.
+  // The batch's data pointers stay valid: the in-flight frames keep their
+  // table slots and nobody touches them until the cv fires.
   lock.unlock();
   if (file_->supports_async_io()) {
     // Submit-and-return: the engine's completion thread re-latches and
@@ -565,7 +587,7 @@ void BufferPool::FinishWritebackLocked(Shard& shard,
                                        const std::vector<PageId>& dirty_ids,
                                        const Status& flush_status) {
   if (flush_status.ok()) {
-    for (PageId id : dirty_ids) shard.writeback.erase(id);
+    for (PageId id : dirty_ids) shard.table[slot_of(id)].reset();
   } else {
     // A resident frame always maps to a live disk page (DeletePage drops
     // the frame before freeing and waits out in-flight write-backs), so
@@ -579,14 +601,15 @@ void BufferPool::FinishWritebackLocked(Shard& shard,
     shard.stats.flushes -= dirty_ids.size();    // they did not flush
     shard.stats.evictions -= dirty_ids.size();  // nor leave the pool
     for (PageId id : dirty_ids) {
-      auto node = shard.writeback.extract(id);
-      Frame* f = node.mapped().get();
+      Frame* f = shard.At(slot_of(id));
+      f->in_writeback = false;
       shard.lru.push_back(id);  // back of the LRU: first victims next time
       f->lru_it = std::prev(shard.lru.end());
       f->in_lru = true;
-      shard.frames.insert(std::move(node));
     }
+    shard.resident += dirty_ids.size();
   }
+  shard.writebacks -= dirty_ids.size();
   shard.writeback_cv.notify_all();
 }
 
@@ -626,7 +649,7 @@ void BufferPool::WalCheckpointBeginSync() {
   wal_unsynced_rec_floor_.store(UINT64_MAX, std::memory_order_relaxed);
   for (auto& sp : shards_) {
     std::unique_lock lock(sp->mu);
-    sp->writeback_cv.wait(lock, [&] { return sp->writeback.empty(); });
+    WaitForAllWritebacks(*sp, lock);
   }
 }
 
@@ -634,16 +657,15 @@ uint64_t BufferPool::WalDirtyRecFloor() const {
   uint64_t floor = UINT64_MAX;
   for (const auto& sp : shards_) {
     std::unique_lock lock(sp->mu);
-    for (const auto& [id, f] : sp->frames) {
+    for (const auto& f : sp->table) {
+      if (f == nullptr) continue;
+      // A frame dirtied before the checkpoint's FlushAll can be mid
+      // write-back right now; its bytes are unsynced like any other
+      // post-BeginSync store write.
       const uint64_t rec = f->page.wal_rec_lsn();
-      if (f->page.is_dirty() && rec != 0) floor = std::min(floor, rec);
-    }
-    // A frame dirtied before the checkpoint's FlushAll can be mid
-    // write-back right now; its bytes are unsynced like any other
-    // post-BeginSync store write.
-    for (const auto& [id, f] : sp->writeback) {
-      const uint64_t rec = f->page.wal_rec_lsn();
-      if (rec != 0) floor = std::min(floor, rec);
+      if ((f->page.is_dirty() || f->in_writeback) && rec != 0) {
+        floor = std::min(floor, rec);
+      }
     }
   }
   return std::min(

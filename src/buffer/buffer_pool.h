@@ -5,12 +5,12 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -22,10 +22,16 @@ namespace burtree {
 
 class WalManager;
 
-/// N-way sharded buffer pool: pages hash to shards by page id, and each
+/// N-way sharded buffer pool: page `id` lives in shard `id % N`, and each
 /// shard owns its own latch, frame table, LRU list, and BufferStats. The
 /// global capacity is split evenly across shards, so shard count 1 is
 /// exactly the classic single-latch LRU pool.
+///
+/// A shard's frame table is a dense array indexed by `id / N`, grown on
+/// demand: page ids are dense slots reused through the store's free list
+/// (the PageStore contract), so the array stays as long as the store's
+/// slot count divided by N, and a lookup is one bounds check and one
+/// load.
 ///
 /// Thread-safety: fully thread-safe. Every per-page operation takes only
 /// that page's shard latch, so operations on pages in different shards
@@ -47,11 +53,11 @@ class WalManager;
 ///   pages in the shard — hits or misses — proceed during the read, so a
 ///   slow page read stalls only waiters on that page, not the shard.
 /// - **Eviction write-back**: clean victims are dropped with no I/O;
-///   dirty victims are detached into a per-shard write-back table under
-///   the latch, written back latch-free as one PageStore::FlushDirtyBatch
-///   group write, then the table is cleared. Only a fetch/delete of a
-///   page whose write-back is still in flight waits (it can never
-///   observe stale disk bytes).
+///   dirty victims leave the LRU and are marked write-back in their
+///   table slot under the latch, written back latch-free as one
+///   PageStore::FlushDirtyBatch group write, then their slots are
+///   cleared. Only a fetch/delete of a page whose write-back is still in
+///   flight waits (it can never observe stale disk bytes).
 ///
 /// With a WalManager attached (set_wal), the pool additionally enforces
 /// the **log-before-flush** invariant: a dirty frame whose page LSN is
@@ -95,8 +101,19 @@ class BufferPool {
   /// accounted).
   Status FlushAll();
 
-  /// Discards the frame (must be unpinned) and frees the disk page.
+  /// Discards the frame (must be unpinned) and frees the disk page. A
+  /// transient pin is waited out; one still held after
+  /// delete_pin_timeout() fails with InvalidArgument.
   Status DeletePage(PageId id);
+
+  /// How long DeletePage waits for a pinned frame to drain before it
+  /// reports the pin as leaked (default 10 s). Set before concurrent use.
+  std::chrono::milliseconds delete_pin_timeout() const {
+    return delete_pin_timeout_;
+  }
+  void set_delete_pin_timeout(std::chrono::milliseconds timeout) {
+    delete_pin_timeout_ = timeout;
+  }
 
   /// Advisory read-ahead: asynchronously loads `ids` into the pool when
   /// the store has an async I/O engine; a no-op on a synchronous store
@@ -166,15 +183,24 @@ class BufferPool {
     Page page;
     std::list<PageId>::iterator lru_it;  // valid iff in_lru
     bool in_lru = false;
+    /// Detached eviction victim whose batched write-back is running
+    /// latch-free: not resident (no hit, no unpin, no flush), but it keeps
+    /// its table slot until the batch lands, and fetches/deletes of the
+    /// page wait on writeback_cv meanwhile.
+    bool in_writeback = false;
   };
 
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<PageId, std::unique_ptr<Frame>> frames;
+    /// Dense frame table: slot `id / num_shards()` holds the page's
+    /// resident or write-back frame, null otherwise. Grows on publish;
+    /// lookups past the end read as empty.
+    std::vector<std::unique_ptr<Frame>> table;
+    size_t resident = 0;    // frames in `table` with !in_writeback
+    size_t writebacks = 0;  // frames in `table` with in_writeback
     std::list<PageId> lru;  // front = most recent; only unpinned pages
-    /// Dirty victims whose batched write-back is running latch-free;
-    /// removed (and writeback_cv notified) once the batch lands.
-    std::unordered_map<PageId, std::unique_ptr<Frame>> writeback;
+    /// Notified once a write-back batch lands and its frames leave the
+    /// table (or are re-adopted on error).
     std::condition_variable writeback_cv;
     /// Pages whose miss read is running latch-free; removed (and
     /// miss_cv notified) once the read lands or fails. Concurrent
@@ -191,9 +217,20 @@ class BufferPool {
     size_t prefetch_inflight = 0;
     BufferStats stats;
     size_t capacity = 0;
+
+    /// The frame in `slot` (resident or write-back), or null.
+    Frame* At(size_t slot) const {
+      return slot < table.size() ? table[slot].get() : nullptr;
+    }
+    /// Installs `f` as a resident frame in the (empty) `slot`.
+    Frame* Publish(size_t slot, std::unique_ptr<Frame> f);
+    /// Removes the resident frame in `slot` from the table.
+    std::unique_ptr<Frame> Detach(size_t slot);
   };
 
   Shard& ShardFor(PageId id) { return *shards_[shard_of(id)]; }
+  /// Index of `id` in its shard's frame table.
+  size_t slot_of(PageId id) const { return id / shards_.size(); }
 
   /// Detaches LRU victims under `lock`, then — if any were dirty —
   /// releases the latch, writes them back as one group write, re-latches
@@ -214,6 +251,9 @@ class BufferPool {
   /// waiting, held again on return).
   void WaitForWriteback(Shard& shard, std::unique_lock<std::mutex>& lock,
                         PageId id);
+  /// Waits out every write-back in flight on the shard (same locking).
+  static void WaitForAllWritebacks(Shard& shard,
+                                   std::unique_lock<std::mutex>& lock);
   /// Blocks until `id` has neither a write-back nor a miss read in
   /// flight (lock released while waiting, held again on return). On
   /// return the caller must re-inspect the frame table: the miss may
@@ -230,6 +270,7 @@ class BufferPool {
 
   PageStore* file_;
   WalManager* wal_ = nullptr;
+  std::chrono::milliseconds delete_pin_timeout_{std::chrono::seconds(10)};
   /// Min wal_rec_lsn of frames whose bytes reached the store (in-place
   /// flush or eviction) since the last WalCheckpointBeginSync — writes
   /// the next store sync has not yet made durable. CAS-min updated under

@@ -56,6 +56,12 @@ class PageStore {
 
   /// Allocates a fresh zeroed page (reusing freed slots first) and returns
   /// its id. Does not count as an I/O; the subsequent write does.
+  ///
+  /// Page ids are dense slot numbers: a new slot gets the id one past the
+  /// highest ever handed out, and a freed id comes back from the free
+  /// list before the store grows, so every id stays below
+  /// allocated_slots(). The buffer pool's frame tables and the summary
+  /// structure are arrays indexed by page id and rely on this.
   virtual PageId Allocate() = 0;
 
   /// Returns a page to the free list. Reading a freed page is an error.

@@ -7,6 +7,56 @@
 
 namespace burtree {
 
+SummaryStructure::Slot& SummaryStructure::SlotFor(PageId page) {
+  if (page >= slots_.size()) slots_.resize(static_cast<size_t>(page) + 1);
+  return slots_[page];
+}
+
+void SummaryStructure::SetFullBit(PageId page, bool full) {
+  const size_t word = page / 64;
+  const uint64_t mask = uint64_t{1} << (page % 64);
+  if (word >= full_bits_.size()) {
+    if (!full) return;
+    full_bits_.resize(word + 1, 0);
+  }
+  if (full) {
+    full_bits_[word] |= mask;
+  } else {
+    full_bits_[word] &= ~mask;
+  }
+}
+
+void SummaryStructure::ClearSlot(PageId page) {
+  if (page >= slots_.size()) return;
+  Slot& slot = slots_[page];
+  if (slot.rec == kLeaf) {
+    --leaf_count_;
+    SetFullBit(page, false);
+  } else if (slot.rec != kNoNode) {
+    // Keep records_ packed: move the last record into the hole.
+    const uint32_t hole = slot.rec;
+    if (hole + 1 != records_.size()) {
+      records_[hole] = std::move(records_.back());
+      slots_[records_[hole].page].rec = hole;
+    }
+    records_.pop_back();
+  }
+  slot = Slot{};
+}
+
+AncestorPath SummaryStructure::PathToAncestor(PageId ancestor,
+                                              Level level) const {
+  AncestorPath ap;
+  ap.ancestor_level = level;
+  std::vector<PageId> rev{ancestor};
+  for (PageId up = ParentLocked(ancestor); up != kInvalidPageId;
+       up = ParentLocked(up)) {
+    rev.push_back(up);
+  }
+  ap.path_from_root.assign(rev.rbegin(), rev.rend());
+  return ap;
+}
+
 PageId SummaryStructure::root() const {
   std::shared_lock lock(mu_);
   return root_;
@@ -19,8 +69,7 @@ Level SummaryStructure::root_level() const {
 
 Rect SummaryStructure::root_mbr() const {
   std::shared_lock lock(mu_);
-  auto it = internal_.find(root_);
-  if (it != internal_.end()) return it->second.mbr;
+  if (const Record* r = RecordOf(root_)) return r->mbr;
   // Root is a leaf: the table intentionally holds no leaf MBRs, so a
   // single-leaf tree reports an empty root MBR and GBU degrades to
   // top-down — correct and cheap for degenerate trees (see DESIGN.md).
@@ -29,71 +78,43 @@ Rect SummaryStructure::root_mbr() const {
 
 std::optional<Rect> SummaryStructure::NodeMbr(PageId page) const {
   std::shared_lock lock(mu_);
-  auto it = internal_.find(page);
-  if (it == internal_.end()) return std::nullopt;
-  return it->second.mbr;
+  const Record* r = RecordOf(page);
+  if (r == nullptr) return std::nullopt;
+  return r->mbr;
 }
 
 std::vector<PageId> SummaryStructure::ChildrenOf(PageId page) const {
   std::shared_lock lock(mu_);
-  auto it = internal_.find(page);
-  if (it == internal_.end()) return {};
-  return it->second.children;
+  const Record* r = RecordOf(page);
+  if (r == nullptr) return {};
+  return r->children;
 }
 
 PageId SummaryStructure::ParentOf(PageId node) const {
   std::shared_lock lock(mu_);
-  auto it = internal_.find(node);
-  if (it != internal_.end()) return it->second.parent;
-  auto lt = leaf_parent_.find(node);
-  if (lt != leaf_parent_.end()) return lt->second;
-  return kInvalidPageId;
+  return ParentLocked(node);
 }
 
 bool SummaryStructure::LeafIsFull(PageId leaf) const {
   std::shared_lock lock(mu_);
-  auto it = leaf_full_.find(leaf);
-  return it != leaf_full_.end() && it->second;
+  return FullBit(leaf);
 }
 
 size_t SummaryStructure::leaf_count() const {
   std::shared_lock lock(mu_);
-  return leaf_full_.size();
+  return leaf_count_;
 }
 
 std::optional<AncestorPath> SummaryStructure::FindAncestorContaining(
     PageId node, const Point& target, uint32_t max_levels) const {
   std::shared_lock lock(mu_);
   PageId cur = node;
-  uint32_t ascended = 0;
-  while (ascended < max_levels) {
-    PageId parent;
-    auto it = internal_.find(cur);
-    if (it != internal_.end()) {
-      parent = it->second.parent;
-    } else {
-      auto lt = leaf_parent_.find(cur);
-      parent = lt != leaf_parent_.end() ? lt->second : kInvalidPageId;
-    }
-    if (parent == kInvalidPageId) break;
-    cur = parent;
-    ++ascended;
-    auto pit = internal_.find(cur);
-    if (pit == internal_.end()) break;  // table desync would be a bug
-    if (pit->second.mbr.Contains(target)) {
-      AncestorPath ap;
-      ap.ancestor_level = pit->second.level;
-      // Assemble root -> ancestor path from parent links.
-      std::vector<PageId> rev{cur};
-      PageId up = pit->second.parent;
-      while (up != kInvalidPageId) {
-        rev.push_back(up);
-        auto uit = internal_.find(up);
-        up = uit != internal_.end() ? uit->second.parent : kInvalidPageId;
-      }
-      ap.path_from_root.assign(rev.rbegin(), rev.rend());
-      return ap;
-    }
+  for (uint32_t ascended = 0; ascended < max_levels; ++ascended) {
+    cur = ParentLocked(cur);
+    if (cur == kInvalidPageId) break;
+    const Record* r = RecordOf(cur);
+    if (r == nullptr) break;  // table desync would be a bug
+    if (r->mbr.Contains(target)) return PathToAncestor(cur, r->level);
   }
   return std::nullopt;
 }
@@ -106,32 +127,16 @@ std::optional<AncestorPath> SummaryStructure::FindParentScan(
   // level of parents (the paper counts the leaf level as 1).
   for (Level l = 1; l <= root_level_ && l - 1 < max_levels + 0u; ++l) {
     PageId found = kInvalidPageId;
-    for (const auto& [page, info] : internal_) {
-      if (info.level != l) continue;
+    for (const Record& r : records_) {
+      if (r.level != l) continue;
       // "for each parent entry whose MBR contains node": cheap MBR test
       // first, then the child-offset match.
-      bool has_child = false;
-      for (PageId child : info.children) {
-        if (child == cur) {
-          has_child = true;
-          break;
-        }
+      if (std::find(r.children.begin(), r.children.end(), cur) ==
+          r.children.end()) {
+        continue;
       }
-      if (!has_child) continue;
-      found = page;
-      if (info.mbr.Contains(target)) {
-        AncestorPath ap;
-        ap.ancestor_level = l;
-        std::vector<PageId> rev{page};
-        PageId up = info.parent;
-        while (up != kInvalidPageId) {
-          rev.push_back(up);
-          auto uit = internal_.find(up);
-          up = uit != internal_.end() ? uit->second.parent : kInvalidPageId;
-        }
-        ap.path_from_root.assign(rev.rbegin(), rev.rend());
-        return ap;
-      }
+      found = r.page;
+      if (r.mbr.Contains(target)) return PathToAncestor(r.page, l);
       break;  // parent found but MBR misses the target: ascend
     }
     if (found == kInvalidPageId) break;
@@ -145,13 +150,7 @@ std::vector<PageId> SummaryStructure::PathFromRoot(PageId node) const {
   std::vector<PageId> rev{node};
   PageId cur = node;
   while (cur != root_ && cur != kInvalidPageId) {
-    auto it = internal_.find(cur);
-    if (it != internal_.end()) {
-      cur = it->second.parent;
-    } else {
-      auto lt = leaf_parent_.find(cur);
-      cur = lt != leaf_parent_.end() ? lt->second : kInvalidPageId;
-    }
+    cur = ParentLocked(cur);
     if (cur != kInvalidPageId) rev.push_back(cur);
   }
   return {rev.rbegin(), rev.rend()};
@@ -161,10 +160,8 @@ std::vector<PageId> SummaryStructure::OverlappingAtLevel(const Rect& window,
                                                          Level level) const {
   std::shared_lock lock(mu_);
   std::vector<PageId> out;
-  for (const auto& [page, info] : internal_) {
-    if (info.level == level && info.mbr.Intersects(window)) {
-      out.push_back(page);
-    }
+  for (const Record& r : records_) {
+    if (r.level == level && r.mbr.Intersects(window)) out.push_back(r.page);
   }
   return out;
 }
@@ -182,123 +179,119 @@ std::vector<PageId> SummaryStructure::OverlappingLeafParents(
   // at this epoch.
   if (epoch != nullptr) *epoch = epoch_.load(std::memory_order_acquire);
   std::vector<PageId> frontier;
-  auto rit = internal_.find(root_);
-  if (rit == internal_.end()) return frontier;  // root is a leaf
-  if (!rit->second.mbr.Intersects(window)) return frontier;
+  const Record* root = RecordOf(root_);
+  if (root == nullptr) return frontier;  // root is a leaf
+  if (!root->mbr.Intersects(window)) return frontier;
   frontier.push_back(root_);
+  std::vector<PageId> next;
   for (Level level = root_level_; level > 1; --level) {
-    std::vector<PageId> next;
+    next.clear();
     for (PageId page : frontier) {
-      const NodeInfo& info = internal_.at(page);
-      for (PageId child : info.children) {
-        auto cit = internal_.find(child);
-        BURTREE_DCHECK(cit != internal_.end());
-        if (cit != internal_.end() &&
-            cit->second.mbr.Intersects(window)) {
-          next.push_back(child);
-        }
+      const Record* r = RecordOf(page);
+      BURTREE_DCHECK(r != nullptr);
+      for (PageId child : r->children) {
+        const Record* c = RecordOf(child);
+        BURTREE_DCHECK(c != nullptr);
+        if (c != nullptr && c->mbr.Intersects(window)) next.push_back(child);
       }
     }
-    frontier = std::move(next);
+    frontier.swap(next);
   }
   return frontier;
 }
 
 size_t SummaryStructure::table_bytes() const {
   std::shared_lock lock(mu_);
-  size_t bytes = 0;
-  for (const auto& [page, info] : internal_) {
-    bytes += sizeof(PageId) + sizeof(Level) + sizeof(Rect) +
-             info.children.size() * sizeof(PageId);
+  size_t bytes = slots_.size() * sizeof(Slot);
+  for (const Record& r : records_) {
+    bytes += sizeof(Record) + r.children.size() * sizeof(PageId);
   }
   return bytes;
 }
 
 size_t SummaryStructure::bitvector_bytes() const {
   std::shared_lock lock(mu_);
-  return (leaf_full_.size() + 7) / 8;
+  return full_bits_.size() * sizeof(uint64_t);
 }
 
 size_t SummaryStructure::internal_node_count() const {
   std::shared_lock lock(mu_);
-  return internal_.size();
+  return records_.size();
 }
 
 void SummaryStructure::OnNodeCreated(PageId page, Level level) {
   std::unique_lock lock(mu_);
+  // A reused page id starts from a clean slot, whatever it was before.
+  if (RecordOf(page) != nullptr) {
+    epoch_.fetch_add(1, std::memory_order_release);
+  }
+  ClearSlot(page);
+  Slot& slot = SlotFor(page);
   if (level == 0) {
-    leaf_full_[page] = false;
-    leaf_parent_[page] = kInvalidPageId;
+    slot.rec = kLeaf;
+    ++leaf_count_;
   } else {
-    NodeInfo info;
-    info.level = level;
-    internal_[page] = std::move(info);
+    slot.rec = static_cast<uint32_t>(records_.size());
+    Record& r = records_.emplace_back();
+    r.page = page;
+    r.level = level;
     epoch_.fetch_add(1, std::memory_order_release);
   }
 }
 
 void SummaryStructure::OnNodeFreed(PageId page, Level level) {
   std::unique_lock lock(mu_);
-  if (level == 0) {
-    leaf_full_.erase(page);
-    leaf_parent_.erase(page);
-  } else {
-    internal_.erase(page);
-    epoch_.fetch_add(1, std::memory_order_release);
-  }
+  const bool internal = RecordOf(page) != nullptr;
+  // A level mismatch leaves the other kind's entry alone (the table only
+  // forgets what the callback names).
+  if (internal == (level > 0)) ClearSlot(page);
+  if (level > 0) epoch_.fetch_add(1, std::memory_order_release);
 }
 
 void SummaryStructure::OnNodeMbrChanged(PageId page, Level level,
                                         const Rect& mbr) {
   if (level == 0) return;  // the table holds internal nodes only
   std::unique_lock lock(mu_);
-  auto it = internal_.find(page);
-  if (it != internal_.end()) it->second.mbr = mbr;
+  if (Record* r = RecordOf(page)) r->mbr = mbr;
   epoch_.fetch_add(1, std::memory_order_release);
 }
 
 void SummaryStructure::OnChildLinked(PageId parent, PageId child) {
   std::unique_lock lock(mu_);
   epoch_.fetch_add(1, std::memory_order_release);
-  auto pit = internal_.find(parent);
-  BURTREE_DCHECK(pit != internal_.end());
-  if (pit == internal_.end()) return;
-  pit->second.children.push_back(child);
-  auto cit = internal_.find(child);
-  if (cit != internal_.end()) {
-    cit->second.parent = parent;
-  } else {
-    leaf_parent_[child] = parent;
-  }
+  Record* p = RecordOf(parent);
+  BURTREE_DCHECK(p != nullptr);
+  if (p == nullptr) return;
+  p->children.push_back(child);
+  SlotFor(child).parent = parent;
 }
 
 void SummaryStructure::OnChildUnlinked(PageId parent, PageId child) {
   std::unique_lock lock(mu_);
   epoch_.fetch_add(1, std::memory_order_release);
-  auto pit = internal_.find(parent);
-  if (pit != internal_.end()) {
-    auto& ch = pit->second.children;
+  if (Record* p = RecordOf(parent)) {
+    auto& ch = p->children;
     auto it = std::find(ch.begin(), ch.end(), child);
     if (it != ch.end()) {
       *it = ch.back();
       ch.pop_back();
     }
   }
-  auto cit = internal_.find(child);
-  if (cit != internal_.end()) {
-    if (cit->second.parent == parent) cit->second.parent = kInvalidPageId;
-  } else {
-    auto lt = leaf_parent_.find(child);
-    if (lt != leaf_parent_.end() && lt->second == parent) {
-      lt->second = kInvalidPageId;
-    }
+  if (child < slots_.size() && slots_[child].parent == parent) {
+    slots_[child].parent = kInvalidPageId;
   }
 }
 
 void SummaryStructure::OnLeafOccupancyChanged(PageId leaf, uint32_t count,
                                               uint32_t capacity) {
   std::unique_lock lock(mu_);
-  leaf_full_[leaf] = count >= capacity;
+  Slot& slot = SlotFor(leaf);
+  if (slot.rec == kNoNode) {
+    slot.rec = kLeaf;  // a leaf reported before its creation callback
+    ++leaf_count_;
+  }
+  if (slot.rec != kLeaf) return;  // only leaves carry a full bit
+  SetFullBit(leaf, count >= capacity);
 }
 
 void SummaryStructure::OnRootChanged(PageId new_root, Level new_level) {
@@ -306,29 +299,29 @@ void SummaryStructure::OnRootChanged(PageId new_root, Level new_level) {
   epoch_.fetch_add(1, std::memory_order_release);
   root_ = new_root;
   root_level_ = new_level;
-  auto it = internal_.find(new_root);
-  if (it != internal_.end()) it->second.parent = kInvalidPageId;
-  auto lt = leaf_parent_.find(new_root);
-  if (lt != leaf_parent_.end()) lt->second = kInvalidPageId;
+  if (new_root < slots_.size()) slots_[new_root].parent = kInvalidPageId;
 }
 
 bool SummaryStructure::SelfCheck() const {
   std::shared_lock lock(mu_);
-  for (const auto& [page, info] : internal_) {
-    if (page != root_ && info.parent == kInvalidPageId) return false;
-    for (PageId child : info.children) {
-      auto cit = internal_.find(child);
-      if (cit != internal_.end()) {
-        if (cit->second.parent != page) return false;
-        if (cit->second.level + 1 != info.level) return false;
-      } else {
-        auto lt = leaf_parent_.find(child);
-        if (lt == leaf_parent_.end() || lt->second != page) return false;
-        if (info.level != 1) return false;
-      }
+  for (size_t i = 0; i < records_.size(); ++i) {
+    const Record& r = records_[i];
+    const Slot* slot = SlotAt(r.page);
+    if (slot == nullptr || slot->rec != i) return false;
+    if (r.page != root_ && slot->parent == kInvalidPageId) return false;
+    for (PageId child : r.children) {
+      if (ParentLocked(child) != r.page) return false;
+      const Record* c = RecordOf(child);
+      if (c != nullptr ? c->level + 1 != r.level : r.level != 1) return false;
     }
   }
-  return true;
+  size_t leaves = 0;
+  for (PageId page = 0; page < slots_.size(); ++page) {
+    const bool leaf = slots_[page].rec == kLeaf;
+    leaves += leaf ? 1 : 0;
+    if (FullBit(page) && !leaf) return false;
+  }
+  return leaves == leaf_count_;
 }
 
 }  // namespace burtree

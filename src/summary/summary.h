@@ -1,9 +1,15 @@
 // The main-memory summary structure of §3.2 (Figure 3):
 //
 //   1. a direct access table over the *internal* nodes of the R-tree —
-//      per node: its own MBR, level, and child page ids — organized by
-//      level, and
+//      per node: its own MBR, level, and child page ids — reached by page
+//      id in O(1), and
 //   2. a bit vector over the leaf nodes indicating whether they are full.
+//
+// Layout: page ids are dense slots (the PageStore contract), so the table
+// is a page-id-indexed array of small slots (parent link + record index),
+// a packed array of internal-node records, and a page-id-indexed bit
+// vector. Leaves — the vast majority of pages — cost one slot and one bit;
+// only internal nodes get a record.
 //
 // It is maintained through TreeObserver callbacks (MBR modifications and
 // node splits, exactly the two triggers the paper identifies) and gives
@@ -16,8 +22,8 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/geometry.h"
@@ -36,13 +42,6 @@ struct AncestorPath {
 
 class SummaryStructure : public TreeObserver {
  public:
-  struct NodeInfo {
-    Level level = 0;
-    Rect mbr;
-    PageId parent = kInvalidPageId;
-    std::vector<PageId> children;
-  };
-
   SummaryStructure() = default;
 
   // ---- Read API (zero I/O by construction) ----
@@ -119,10 +118,11 @@ class SummaryStructure : public TreeObserver {
   // ---- Size accounting (paper §3.2 claims: entry ≈ 20.4% of a node,
   //      table ≈ 0.16% of the tree) ----
 
-  /// Bytes used by the direct access table (MBR + level + page id +
-  /// child pointers per entry).
+  /// Bytes used by the direct access table: the page-id-indexed slot
+  /// array plus every internal-node record and its child list.
   size_t table_bytes() const;
-  /// Bytes used by the leaf bit vector (1 bit per leaf, rounded up).
+  /// Bytes used by the full-leaf bit vector (one bit per page-id slot,
+  /// in 64-bit words).
   size_t bitvector_bytes() const;
   size_t internal_node_count() const;
 
@@ -138,18 +138,68 @@ class SummaryStructure : public TreeObserver {
   void OnRootChanged(PageId new_root, Level new_level) override;
 
   /// Consistency probe for tests: table parent/child links are mutually
-  /// consistent and every non-root internal node has a parent.
+  /// consistent, every non-root internal node has a parent, slots and
+  /// records point at each other, and full bits sit on leaves only.
   bool SelfCheck() const;
 
  private:
+  /// Slot::rec values that are not record indices.
+  static constexpr uint32_t kNoNode = UINT32_MAX;  // untracked page id
+  static constexpr uint32_t kLeaf = UINT32_MAX - 1;
+
+  /// Direct-access entry of one page id (8 bytes).
+  struct Slot {
+    PageId parent = kInvalidPageId;
+    uint32_t rec = kNoNode;  // index into records_, kLeaf, or kNoNode
+  };
+
+  /// An internal node's entry, packed in records_ (order is arbitrary:
+  /// a freed record is filled by moving the last one into its place).
+  struct Record {
+    Rect mbr;
+    PageId page = kInvalidPageId;
+    Level level = 0;
+    std::vector<PageId> children;
+  };
+
+  // All helpers below assume mu_ is held (shared for the const ones).
+  const Slot* SlotAt(PageId page) const {
+    return page < slots_.size() ? &slots_[page] : nullptr;
+  }
+  /// Grows the slot array to cover `page`.
+  Slot& SlotFor(PageId page);
+  const Record* RecordOf(PageId page) const {
+    const Slot* s = SlotAt(page);
+    return s != nullptr && s->rec < kLeaf ? &records_[s->rec] : nullptr;
+  }
+  Record* RecordOf(PageId page) {
+    return const_cast<Record*>(std::as_const(*this).RecordOf(page));
+  }
+  PageId ParentLocked(PageId page) const {
+    const Slot* s = SlotAt(page);
+    return s != nullptr ? s->parent : kInvalidPageId;
+  }
+  bool FullBit(PageId page) const {
+    return page / 64 < full_bits_.size() &&
+           ((full_bits_[page / 64] >> (page % 64)) & 1) != 0;
+  }
+  void SetFullBit(PageId page, bool full);
+  /// The AncestorPath ending at internal node `ancestor`, assembled by
+  /// following parent links up to a node that has none.
+  AncestorPath PathToAncestor(PageId ancestor, Level level) const;
+  /// Forgets everything about `page`: its record (if internal), leaf
+  /// membership and full bit (if a leaf), and its parent link.
+  void ClearSlot(PageId page);
+
   mutable std::shared_mutex mu_;
   /// Structural epoch: bumped (under mu_) by every mutation that can
   /// invalidate a pruned query plan. Leaf occupancy flips are excluded —
   /// they never change which level-1 nodes overlap a window.
   std::atomic<uint64_t> epoch_{0};
-  std::unordered_map<PageId, NodeInfo> internal_;
-  std::unordered_map<PageId, bool> leaf_full_;
-  std::unordered_map<PageId, PageId> leaf_parent_;
+  std::vector<Slot> slots_;          // indexed by page id
+  std::vector<Record> records_;      // internal nodes only
+  std::vector<uint64_t> full_bits_;  // bit per page id: leaf is full
+  size_t leaf_count_ = 0;            // slots with rec == kLeaf
   PageId root_ = kInvalidPageId;
   Level root_level_ = 0;
 };

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 #include "rtree/rtree.h"
 #include "storage/page_file.h"
@@ -351,6 +355,200 @@ TEST(SummaryTest, SizeAccountingIsCompact) {
   EXPECT_LT(static_cast<double>(table), 0.1 * tree_bytes);
   EXPECT_GT(table, 0u);
   EXPECT_GT(fx.summary.bitvector_bytes(), 0u);
+}
+
+// ---- Page-id reuse across node kinds (direct access table slots) ----
+
+TEST(SummaryTest, InternalIdReusedAsLeafLeavesNoStaleState) {
+  SummaryStructure s;
+  // root 1 (level 2) -> internal 2 (level 1) -> leaves 3, 4; root -> 5.
+  s.OnNodeCreated(1, 2);
+  s.OnRootChanged(1, 2);
+  s.OnNodeCreated(2, 1);
+  s.OnNodeCreated(5, 1);
+  s.OnNodeCreated(3, 0);
+  s.OnNodeCreated(4, 0);
+  s.OnChildLinked(1, 2);
+  s.OnChildLinked(1, 5);
+  s.OnChildLinked(2, 3);
+  s.OnChildLinked(2, 4);
+  s.OnNodeMbrChanged(1, 2, Rect(0, 0, 1, 1));
+  s.OnNodeMbrChanged(2, 1, Rect(0.1, 0.1, 0.2, 0.2));
+  s.OnNodeMbrChanged(5, 1, Rect(0.5, 0.5, 0.6, 0.6));
+  s.OnLeafOccupancyChanged(3, 4, 4);
+  ASSERT_TRUE(s.SelfCheck());
+  ASSERT_EQ(s.internal_node_count(), 3u);
+
+  // Condense node 2 away, then hand its id out again as a leaf under 5.
+  s.OnChildUnlinked(2, 3);
+  s.OnChildUnlinked(2, 4);
+  s.OnChildUnlinked(1, 2);
+  s.OnNodeFreed(2, 1);
+  s.OnNodeFreed(3, 0);
+  s.OnNodeFreed(4, 0);
+  s.OnNodeCreated(2, 0);
+  s.OnChildLinked(5, 2);
+  s.OnLeafOccupancyChanged(2, 1, 4);
+
+  EXPECT_FALSE(s.NodeMbr(2).has_value());
+  EXPECT_TRUE(s.ChildrenOf(2).empty());
+  EXPECT_EQ(s.ParentOf(2), 5u);
+  EXPECT_FALSE(s.LeafIsFull(2));
+  EXPECT_EQ(s.internal_node_count(), 2u);
+  EXPECT_EQ(s.leaf_count(), 1u);
+  // The record that filled node 2's hole still resolves by page id.
+  EXPECT_EQ(s.NodeMbr(5)->min_x, 0.5);
+  EXPECT_EQ(s.ChildrenOf(5), std::vector<PageId>{2});
+  EXPECT_EQ(s.ChildrenOf(1), std::vector<PageId>{5});
+  // Freed leaves keep no parent link and no full bit.
+  EXPECT_EQ(s.ParentOf(3), kInvalidPageId);
+  EXPECT_FALSE(s.LeafIsFull(3));
+  EXPECT_EQ(s.OverlappingLeafParents(Rect(0, 0, 1, 1)),
+            std::vector<PageId>{5});
+  EXPECT_TRUE(s.SelfCheck());
+}
+
+TEST(SummaryTest, LeafIdReusedAsInternalLeavesNoStaleState) {
+  SummaryStructure s;
+  // root 1 (level 1) -> full leaves 2, 3.
+  s.OnNodeCreated(1, 1);
+  s.OnRootChanged(1, 1);
+  s.OnNodeCreated(2, 0);
+  s.OnNodeCreated(3, 0);
+  s.OnChildLinked(1, 2);
+  s.OnChildLinked(1, 3);
+  s.OnLeafOccupancyChanged(2, 4, 4);
+  s.OnLeafOccupancyChanged(3, 4, 4);
+  s.OnNodeMbrChanged(1, 1, Rect(0, 0, 1, 1));
+  ASSERT_TRUE(s.LeafIsFull(3));
+
+  // Leaf 3 is freed; its id comes back as a new root above node 1.
+  s.OnChildUnlinked(1, 3);
+  s.OnNodeFreed(3, 0);
+  s.OnNodeCreated(3, 2);
+  s.OnChildLinked(3, 1);
+  s.OnRootChanged(3, 2);
+
+  EXPECT_FALSE(s.LeafIsFull(3));
+  EXPECT_EQ(s.ParentOf(3), kInvalidPageId);
+  ASSERT_TRUE(s.NodeMbr(3).has_value());
+  EXPECT_TRUE(s.NodeMbr(3)->IsEmpty());  // no MBR reported yet
+  EXPECT_EQ(s.ChildrenOf(3), std::vector<PageId>{1});
+  EXPECT_EQ(s.ParentOf(1), 3u);
+  EXPECT_EQ(s.leaf_count(), 1u);
+  EXPECT_TRUE(s.LeafIsFull(2));
+  EXPECT_TRUE(s.SelfCheck());
+  s.OnNodeMbrChanged(3, 2, Rect(0, 0, 1, 1));
+  EXPECT_EQ(s.OverlappingLeafParents(Rect(0.4, 0.4, 0.5, 0.5)),
+            std::vector<PageId>{1});
+}
+
+/// Level-1 nodes whose page MBR intersects `window`, found by reading
+/// every node of the tree from the pages (no summary involved).
+std::vector<PageId> BruteForceLeafParents(TreeWithSummary& fx,
+                                          const Rect& window) {
+  std::vector<PageId> out;
+  if (fx.tree.root_level() == 0) return out;
+  std::vector<std::pair<PageId, Level>> stack{
+      {fx.tree.root(), fx.tree.root_level()}};
+  while (!stack.empty()) {
+    auto [page, level] = stack.back();
+    stack.pop_back();
+    PageGuard g = PageGuard::Fetch(&fx.pool, page);
+    NodeView v(g.data(), 1024, false);
+    if (level == 1) {
+      if (v.mbr().Intersects(window)) out.push_back(page);
+      continue;
+    }
+    for (uint32_t i = 0; i < v.count(); ++i) {
+      stack.push_back({v.internal_entry(i).child, level - 1});
+    }
+  }
+  return out;
+}
+
+/// The plan order OverlappingLeafParents promises: level by level from
+/// the root, children in table order, pruned by the table MBRs.
+std::vector<PageId> LevelOrderLeafParents(const SummaryStructure& s,
+                                          const Rect& window) {
+  std::vector<PageId> frontier;
+  if (s.root_level() == 0) return frontier;
+  if (!s.root_mbr().Intersects(window)) return frontier;
+  frontier.push_back(s.root());
+  for (Level level = s.root_level(); level > 1; --level) {
+    std::vector<PageId> next;
+    for (PageId page : frontier) {
+      for (PageId child : s.ChildrenOf(page)) {
+        if (s.NodeMbr(child)->Intersects(window)) next.push_back(child);
+      }
+    }
+    frontier = std::move(next);
+  }
+  return frontier;
+}
+
+TEST(SummaryTest, OverlappingLeafParentsMatchesBruteForceAfterStorm) {
+  TreeWithSummary fx;
+  Rng rng(20250612);
+  std::vector<std::pair<ObjectId, Point>> live;
+  ObjectId next_oid = 0;
+  auto random_point = [&] { return Point{rng.NextDouble(), rng.NextDouble()}; };
+  for (int i = 0; i < 4000; ++i) {
+    const Point p = random_point();
+    ASSERT_TRUE(fx.tree.Insert(next_oid, Rect::FromPoint(p)).ok());
+    live.push_back({next_oid++, p});
+  }
+  // Insert/update/delete storm: updates are delete + reinsert, and the
+  // live set swings between ~1500 and ~4000 objects so leaves split and
+  // condense and page ids are freed and reused across levels.
+  const uint64_t splits_before = fx.tree.stats().leaf_splits;
+  for (int op = 0; op < 24000; ++op) {
+    const bool shrinking = (op / 6000) % 2 == 0;
+    const uint64_t dice = rng.NextBelow(10);
+    if (!live.empty() && dice < 4) {  // update
+      const size_t k = rng.NextBelow(live.size());
+      const Point p = random_point();
+      ASSERT_TRUE(
+          fx.tree.Delete(live[k].first, Rect::FromPoint(live[k].second)).ok());
+      ASSERT_TRUE(fx.tree.Insert(live[k].first, Rect::FromPoint(p)).ok());
+      live[k].second = p;
+    } else if (!live.empty() && (dice < 7) == shrinking) {  // delete
+      const size_t k = rng.NextBelow(live.size());
+      ASSERT_TRUE(
+          fx.tree.Delete(live[k].first, Rect::FromPoint(live[k].second)).ok());
+      live[k] = live.back();
+      live.pop_back();
+    } else {  // insert
+      const Point p = random_point();
+      ASSERT_TRUE(fx.tree.Insert(next_oid, Rect::FromPoint(p)).ok());
+      live.push_back({next_oid++, p});
+    }
+    if (op % 4000 == 3999) {
+      ASSERT_TRUE(fx.summary.SelfCheck()) << op;
+    }
+  }
+  EXPECT_GT(fx.tree.stats().leaf_splits, splits_before);
+  EXPECT_GT(fx.tree.stats().underflow_condenses, 0u);
+  ASSERT_TRUE(fx.summary.SelfCheck());
+  ASSERT_GE(fx.tree.root_level(), 2u);
+  ASSERT_EQ(fx.summary.root(), fx.tree.root());
+  EXPECT_EQ(fx.summary.leaf_count(),
+            fx.tree.CollectShape().levels[0].node_count);
+
+  for (int q = 0; q < 200; ++q) {
+    const double w = rng.NextDouble() * 0.2;
+    const double h = rng.NextDouble() * 0.2;
+    const double x = rng.NextDouble() * (1 - w);
+    const double y = rng.NextDouble() * (1 - h);
+    const Rect window(x, y, x + w, y + h);
+    const std::vector<PageId> got = fx.summary.OverlappingLeafParents(window);
+    EXPECT_EQ(got, LevelOrderLeafParents(fx.summary, window)) << q;
+    std::vector<PageId> sorted_got = got;
+    std::vector<PageId> expect = BruteForceLeafParents(fx, window);
+    std::sort(sorted_got.begin(), sorted_got.end());
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(sorted_got, expect) << q;
+  }
 }
 
 }  // namespace
