@@ -1,7 +1,6 @@
 #include "buffer/buffer_pool.h"
 
 #include <chrono>
-#include <iterator>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -45,6 +44,53 @@ void BufferPool::RecomputeShardCapacities() {
     std::unique_lock lock(shards_[i]->mu);
     shards_[i]->capacity = shard_capacity(i);
   }
+}
+
+void BufferPool::FrameList::PushFront(Frame* f) {
+  BURTREE_DCHECK(f->list == nullptr);
+  f->list = this;
+  f->prev = nullptr;
+  f->next = head_;
+  if (head_ != nullptr) {
+    head_->prev = f;
+  } else {
+    tail_ = f;
+  }
+  head_ = f;
+}
+
+void BufferPool::FrameList::PushBack(Frame* f) {
+  BURTREE_DCHECK(f->list == nullptr);
+  f->list = this;
+  f->next = nullptr;
+  f->prev = tail_;
+  if (tail_ != nullptr) {
+    tail_->next = f;
+  } else {
+    head_ = f;
+  }
+  tail_ = f;
+}
+
+void BufferPool::FrameList::Erase(Frame* f) {
+  BURTREE_DCHECK(f->list == this);
+  (f->prev != nullptr ? f->prev->next : head_) = f->next;
+  (f->next != nullptr ? f->next->prev : tail_) = f->prev;
+  f->prev = f->next = nullptr;
+  f->list = nullptr;
+}
+
+void BufferPool::FrameList::SpliceFront(FrameList& other) {
+  if (other.empty()) return;
+  for (Frame* f = other.head_; f != nullptr; f = f->next) f->list = this;
+  other.tail_->next = head_;
+  if (head_ != nullptr) {
+    head_->prev = other.tail_;
+  } else {
+    tail_ = other.tail_;
+  }
+  head_ = other.head_;
+  other.head_ = other.tail_ = nullptr;
 }
 
 BufferPool::Frame* BufferPool::Shard::Publish(size_t slot,
@@ -109,10 +155,7 @@ StatusOr<Page*> BufferPool::FetchPage(PageId id) {
     if (f != nullptr) {
       ++shard.stats.hits;
       file_->io_stats().RecordBufferHit();
-      if (f->in_lru) {
-        shard.lru.erase(f->lru_it);
-        f->in_lru = false;
-      }
+      if (f->list != nullptr) f->list->Erase(f);
       f->page.Pin();
       return &f->page;
     }
@@ -187,7 +230,7 @@ Page* BufferPool::NewPage() {
       Frame* sf = shard.At(slot);
       if (sf == nullptr) break;
       if (sf->page.pin_count() == 0) {
-        if (sf->in_lru) shard.lru.erase(sf->lru_it);
+        if (sf->list != nullptr) sf->list->Erase(sf);
         shard.Detach(slot);
         break;
       }
@@ -266,10 +309,7 @@ void BufferPool::PrefetchPages(const std::vector<PageId>& ids) {
                 // are a logged state, hence a valid diff base.
                 f->page.CreateWalShadow(f->page.data());
               }
-              Frame* fp = sp->Publish(slot_of(id), std::move(f));
-              sp->lru.push_front(id);
-              fp->lru_it = sp->lru.begin();
-              fp->in_lru = true;
+              sp->lru.PushFront(sp->Publish(slot_of(id), std::move(f)));
               ++sp->stats.prefetched;
             } else {
               // Read failed, the page landed some other way, or the
@@ -309,10 +349,7 @@ void BufferPool::UnpinPage(PageId id, bool dirty) {
   }
   f->page.Unpin();
   if (f->page.pin_count() == 0) {
-    BURTREE_DCHECK(!f->in_lru);
-    shard.lru.push_front(id);
-    f->lru_it = shard.lru.begin();
-    f->in_lru = true;
+    shard.lru.PushFront(f);
     if (shard.delete_waiters > 0) shard.pin_cv.notify_all();
     EvictToCapacity(shard, lock);
   }
@@ -348,9 +385,12 @@ Status BufferPool::FlushPage(PageId id) {
 Status BufferPool::FlushAll() {
   // Log-before-flush: make everything appended so far durable up front
   // (latch-free), so under quiescence no frame is skipped below. Frames
-  // dirtied by ops still running — LSN past the snapshot, or captured by
-  // an open scope (wal_pending) — are skipped; they reach disk on a
-  // later flush or eviction. Must not be called from inside a scope.
+  // dirtied by ops still running — pinned (the op may be changing the
+  // bytes right now, ahead of its capture), captured by an open scope
+  // (wal_pending), or with an LSN past the snapshot — are skipped; they
+  // reach disk on a later flush or eviction, and their recovery floor
+  // keeps a concurrent checkpoint from truncating their records. Must
+  // not be called from inside a scope.
   uint64_t durable = 0;
   if (wal_ != nullptr) {
     BURTREE_RETURN_IF_ERROR(wal_->WaitDurable(wal_->appended_lsn()));
@@ -367,7 +407,8 @@ Status BufferPool::FlushAll() {
     for (const auto& f : shard.table) {
       if (f == nullptr || !f->page.is_dirty()) continue;
       if (wal_ != nullptr &&
-          (f->page.wal_pending() > 0 || f->page.wal_lsn() > durable)) {
+          (f->page.pin_count() > 0 || f->page.wal_pending() > 0 ||
+           f->page.wal_lsn() > durable)) {
         continue;
       }
       batch.push_back(PageWriteRequest{f->page.page_id(), f->page.data()});
@@ -402,7 +443,7 @@ Status BufferPool::DeletePage(PageId id) {
     Frame* f = shard.At(slot);
     if (f == nullptr) break;
     if (f->page.pin_count() == 0) {
-      if (f->in_lru) shard.lru.erase(f->lru_it);
+      if (f->list != nullptr) f->list->Erase(f);
       shard.Detach(slot);  // dirty content intentionally discarded
       break;
     }
@@ -503,33 +544,29 @@ void BufferPool::EvictToCapacity(Shard& shard,
   // group write can run after the latch drops.
   //
   // Log-before-flush: a dirty victim inside an open op scope
-  // (wal_pending) or with an LSN past the durable horizon is *skipped* —
-  // rotated to the LRU front — never waited for, so eviction inside an
-  // op scope cannot deadlock against the committer or a checkpoint. The
-  // pass is bounded by the initial LRU length; if every victim is
-  // undurable the shard briefly runs over budget and a later eviction
-  // (by then the group commit has landed) reclaims it.
+  // (wal_pending) or with an LSN past the durable horizon is *parked* —
+  // never waited for, so eviction inside an op scope cannot deadlock
+  // against the committer or a checkpoint. Parked frames are not looked
+  // at again until the durable LSN has moved past the value seen when
+  // the first of them was parked; then all of them return to the LRU's
+  // hot end in one pass. Meanwhile the shard runs over budget.
   const uint64_t durable = wal_ != nullptr ? wal_->durable_lsn() : 0;
+  if (durable > shard.parked_durable) shard.lru.SpliceFront(shard.parked);
   std::vector<std::unique_ptr<Frame>> clean_victims;
   std::vector<PageWriteRequest> batch;
   std::vector<PageId> dirty_ids;
-  size_t examined = 0;
-  const size_t max_examine = shard.lru.size();
-  while (shard.resident > shard.capacity && !shard.lru.empty() &&
-         examined < max_examine) {
-    ++examined;
-    const PageId victim = shard.lru.back();
-    shard.lru.pop_back();
-    const size_t slot = slot_of(victim);
-    Frame* f = shard.At(slot);
-    BURTREE_CHECK(f != nullptr && !f->in_writeback);
+  while (shard.resident > shard.capacity && !shard.lru.empty()) {
+    Frame* f = shard.lru.back();
+    shard.lru.Erase(f);
+    BURTREE_CHECK(!f->in_writeback);
+    const PageId victim = f->page.page_id();
     if (wal_ != nullptr && f->page.is_dirty() &&
         (f->page.wal_pending() > 0 || f->page.wal_lsn() > durable)) {
-      shard.lru.push_front(victim);
-      f->lru_it = shard.lru.begin();
+      if (shard.parked.empty()) shard.parked_durable = durable;
+      shard.parked.PushFront(f);
+      ++shard.stats.undurable_parks;
       continue;
     }
-    f->in_lru = false;
     if (f->page.is_dirty()) {
       // The frame dies once the write-back lands, so fold its recovery
       // floor into the unsynced accumulator now (kept on the page too:
@@ -549,9 +586,17 @@ void BufferPool::EvictToCapacity(Shard& shard,
       ++shard.writebacks;
       ++shard.stats.flushes;
     } else {
-      clean_victims.push_back(shard.Detach(slot));
+      clean_victims.push_back(shard.Detach(slot_of(victim)));
     }
     ++shard.stats.evictions;
+  }
+  // The undurable backlog is bounded at op admission, not here: eviction
+  // holds the shard latch and may run inside an op scope, so it must
+  // never wait on the log. The next outermost WalOpScope takes the flag
+  // and makes the log durable before its op captures anything.
+  if (shard.resident >= shard.capacity + kMaxUndurableOvershoot &&
+      !shard.parked.empty() && wal_->RequestAdmissionFlush()) {
+    ++shard.stats.backpressure_waits;
   }
   // If all remaining frames are pinned the shard grows past its budget
   // temporarily; correctness over strict accounting.
@@ -603,9 +648,7 @@ void BufferPool::FinishWritebackLocked(Shard& shard,
     for (PageId id : dirty_ids) {
       Frame* f = shard.At(slot_of(id));
       f->in_writeback = false;
-      shard.lru.push_back(id);  // back of the LRU: first victims next time
-      f->lru_it = std::prev(shard.lru.end());
-      f->in_lru = true;
+      shard.lru.PushBack(f);  // back of the LRU: first victims next time
     }
     shard.resident += dirty_ids.size();
   }

@@ -6,16 +6,19 @@
 namespace burtree {
 
 std::string BufferStats::ToString() const {
-  char buf[200];
+  char buf[320];
   std::snprintf(
       buf, sizeof(buf),
       "BufferStats{hits=%llu, misses=%llu, evictions=%llu, flushes=%llu, "
-      "prefetched=%llu, hit_rate=%.3f}",
+      "prefetched=%llu, undurable_parks=%llu, backpressure_waits=%llu, "
+      "hit_rate=%.3f}",
       static_cast<unsigned long long>(hits),
       static_cast<unsigned long long>(misses),
       static_cast<unsigned long long>(evictions),
       static_cast<unsigned long long>(flushes),
-      static_cast<unsigned long long>(prefetched), hit_rate());
+      static_cast<unsigned long long>(prefetched),
+      static_cast<unsigned long long>(undurable_parks),
+      static_cast<unsigned long long>(backpressure_waits), hit_rate());
   return buf;
 }
 
@@ -36,15 +39,19 @@ double BufferPoolStats::imbalance() const {
 
 std::string BufferPoolStats::ToString() const {
   const BufferStats t = total();
-  char buf[240];
+  char buf[360];
   std::snprintf(
       buf, sizeof(buf),
       "BufferPoolStats{shards=%zu, hits=%llu, misses=%llu, evictions=%llu, "
-      "flushes=%llu, hit_rate=%.3f, imbalance=%.2f}",
+      "flushes=%llu, undurable_parks=%llu, backpressure_waits=%llu, "
+      "hit_rate=%.3f, imbalance=%.2f}",
       shards.size(), static_cast<unsigned long long>(t.hits),
       static_cast<unsigned long long>(t.misses),
       static_cast<unsigned long long>(t.evictions),
-      static_cast<unsigned long long>(t.flushes), t.hit_rate(), imbalance());
+      static_cast<unsigned long long>(t.flushes),
+      static_cast<unsigned long long>(t.undurable_parks),
+      static_cast<unsigned long long>(t.backpressure_waits), t.hit_rate(),
+      imbalance());
   return buf;
 }
 

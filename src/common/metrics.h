@@ -78,6 +78,13 @@ struct BufferStats {
   /// Prefetch reads dropped at completion: read failed, the page raced
   /// in via a demand miss, or the shard had no free room left.
   uint64_t prefetch_dropped = 0;
+  /// Undurable dirty victims eviction set aside on the shard's parked
+  /// list (log-before-flush; see BufferPool) instead of writing back.
+  uint64_t undurable_parks = 0;
+  /// Admission waits this shard asked for: each is taken by one
+  /// outermost WalOpScope, which makes the log durable before its op
+  /// starts (the overshoot bound, BufferPool::kMaxUndurableOvershoot).
+  uint64_t backpressure_waits = 0;
 
   BufferStats& operator+=(const BufferStats& o) {
     hits += o.hits;
@@ -86,6 +93,8 @@ struct BufferStats {
     flushes += o.flushes;
     prefetched += o.prefetched;
     prefetch_dropped += o.prefetch_dropped;
+    undurable_parks += o.undurable_parks;
+    backpressure_waits += o.backpressure_waits;
     return *this;
   }
   double hit_rate() const {

@@ -197,8 +197,17 @@ uint64_t WalManager::appended_lsn() const {
 }
 
 uint64_t WalManager::durable_lsn() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return durable_lsn_;
+  return durable_lsn_.load(std::memory_order_acquire);
+}
+
+void WalManager::PublishDurableLocked(uint64_t lsn) {
+  if (lsn > durable_lsn_.load(std::memory_order_relaxed)) {
+    durable_lsn_.store(lsn, std::memory_order_release);
+  }
+}
+
+bool WalManager::RequestAdmissionFlush() {
+  return !admission_flush_.exchange(true, std::memory_order_relaxed);
 }
 
 uint64_t WalManager::NewToken() {
@@ -280,11 +289,11 @@ Status WalManager::FlushLocked(std::unique_lock<std::mutex>& lk) {
       std::lock_guard<std::mutex> lk2(mu_);
       write_in_progress_ = false;
       if (s.ok()) {
-        durable_lsn_ = std::max(durable_lsn_, end_lsn);
+        PublishDurableLocked(end_lsn);
         stats_.fsyncs++;
         stats_.max_group_bytes =
             std::max<uint64_t>(stats_.max_group_bytes, batch_bytes);
-        DrainFreesLocked(durable_lsn_);
+        DrainFreesLocked(durable_lsn_.load(std::memory_order_relaxed));
       } else if (io_error_.ok()) {
         io_error_ = s;
       }
@@ -305,11 +314,11 @@ Status WalManager::FlushLocked(std::unique_lock<std::mutex>& lk) {
   lk.lock();
   write_in_progress_ = false;
   if (s.ok()) {
-    durable_lsn_ = std::max(durable_lsn_, end_lsn);
+    PublishDurableLocked(end_lsn);
     stats_.fsyncs++;
     stats_.max_group_bytes = std::max<uint64_t>(stats_.max_group_bytes,
                                                 flush_buf_.size());
-    DrainFreesLocked(durable_lsn_);
+    DrainFreesLocked(durable_lsn_.load(std::memory_order_relaxed));
   } else if (io_error_.ok()) {
     io_error_ = s;
   }
@@ -332,7 +341,8 @@ Status WalManager::WaitDurable(uint64_t lsn) {
   // Whoever needs durability first issues the batch ("worker-driven"
   // group commit): this never depends on the committer thread, which may
   // itself be blocked inside a checkpoint's FlushAll -> WaitDurable.
-  while (durable_lsn_ < lsn && io_error_.ok() && !stop_) {
+  while (durable_lsn_.load(std::memory_order_relaxed) < lsn &&
+         io_error_.ok() && !stop_) {
     if (write_in_progress_) {
       durable_cv_.wait(lk);
       continue;
@@ -341,7 +351,7 @@ Status WalManager::WaitDurable(uint64_t lsn) {
     FlushLocked(lk).ok();     // error is sticky in io_error_
   }
   if (!io_error_.ok()) return io_error_;
-  if (durable_lsn_ < lsn) {
+  if (durable_lsn_.load(std::memory_order_relaxed) < lsn) {
     return Status::Aborted("WAL shut down before LSN became durable");
   }
   return Status::OK();
@@ -478,7 +488,7 @@ Status WalManager::Checkpoint() {
       fd_ = nfd;  // same inode rename() just moved to options_.path
       file_base_lsn_ = base;
       file_write_off_ = kWalFileHeaderSize + (next_lsn_ - base);
-      durable_lsn_ = next_lsn_;  // the fresh file holds everything
+      PublishDurableLocked(next_lsn_);  // the fresh file holds everything
       ckpt_retry_off_ = 0;
       // 5. Everything appended is durable: release all deferred frees.
       DrainFreesLocked(/*durable=*/next_lsn_);
@@ -622,6 +632,16 @@ WalOpScope::WalOpScope(WalManager* wal) : wal_(wal) {
   // thread's captures.
   if (wal_ != nullptr && t_current_scope != nullptr) wal_ = nullptr;
   if (wal_ == nullptr) return;
+  // Admission back-pressure (BufferPool::kMaxUndurableOvershoot): a pool
+  // shard ran too far over budget on undurable frames, so this op makes
+  // the log durable before it starts. Safe here and nowhere later: the
+  // thread holds no shard latch, captured frame or write-back, and the
+  // flush needs only the log mutex. A log error stays sticky and
+  // surfaces at the next WaitDurable caller that checks it.
+  if (wal_->admission_flush_.load(std::memory_order_relaxed) &&
+      wal_->admission_flush_.exchange(false, std::memory_order_relaxed)) {
+    (void)wal_->WaitDurable(wal_->appended_lsn());
+  }
   t_current_scope = this;
 }
 

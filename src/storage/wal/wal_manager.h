@@ -10,7 +10,8 @@
 //
 // Invariants (enforced together with BufferPool; docs/STORAGE.md §WAL):
 //   * log-before-flush: a dirty frame never reaches the page store until
-//     its page LSN is durable (eviction skips undurable victims).
+//     its page LSN is durable (eviction parks undurable victims; a pool
+//     that parks too many asks the next op scope to flush the log).
 //   * op atomicity: all images of one logical operation live in one
 //     CRC-framed record; replay applies whole records only.
 //   * deferred frees: a freed page's slot is returned to the store's
@@ -140,8 +141,18 @@ class WalManager {
   const std::string& path() const { return options_.path; }
 
   /// End LSN of everything appended / everything durable on disk.
+  /// durable_lsn() is lock-free (the eviction path reads it on every
+  /// call); it is published under the log mutex, so a caller that saw
+  /// LSN L durable also sees the flush that made it so.
   uint64_t appended_lsn() const;
   uint64_t durable_lsn() const;
+
+  /// Asks the next outermost WalOpScope, on any thread, to make the log
+  /// durable before its op starts (see WalOpScope). Never blocks; the
+  /// buffer pool calls it under a shard latch when undurable frames pile
+  /// up. Returns true if this call raised the request (false if one was
+  /// already pending), so each true is answered by exactly one wait.
+  bool RequestAdmissionFlush();
 
   /// Lock-free lower bound on appended_lsn() — lags the real value by at
   /// most the records currently racing through AppendEncoded. CapturePage
@@ -236,6 +247,8 @@ class WalManager {
   /// Claims the pending buffer and writes+fsyncs it. `lk` must hold mu_;
   /// released during the I/O, held again on return.
   Status FlushLocked(std::unique_lock<std::mutex>& lk);
+  /// Raises durable_lsn_ to `lsn` (never lowers it). mu_ held.
+  void PublishDurableLocked(uint64_t lsn);
   /// Appends pre-encoded record bytes (copied into the pending buffer,
   /// LSN patched in under mu_); returns the record's end LSN. Callers
   /// keep ownership of `data`, so per-thread encode buffers are reusable.
@@ -255,7 +268,9 @@ class WalManager {
                                         // swapped with buf_ to keep both
                                         // buffers' capacity across flushes)
   uint64_t next_lsn_ = 0;               // end of everything appended
-  uint64_t durable_lsn_ = 0;            // end of everything fsynced
+  std::atomic<uint64_t> durable_lsn_{0};  // end of everything fsynced;
+                                          // stored under mu_, read
+                                          // lock-free by durable_lsn()
   uint64_t file_write_off_ = 0;         // file offset buf_ starts at
   uint64_t file_base_lsn_ = 0;          // LSN of file offset header-end
   uint64_t ckpt_retry_off_ = 0;         // back-off after a skipped auto-
@@ -272,6 +287,8 @@ class WalManager {
   std::atomic<uint64_t> token_counter_{1};
   /// Relaxed mirror of next_lsn_, see approx_appended_lsn().
   std::atomic<uint64_t> approx_next_lsn_{0};
+  /// Set by RequestAdmissionFlush, taken by the next outermost scope.
+  std::atomic<bool> admission_flush_{false};
 
   std::mutex checkpoint_mu_;  // serializes whole checkpoints
   bool quiesced_ = false;     // under checkpoint_mu_: hooks detached,
@@ -292,13 +309,22 @@ class WalManager {
 /// the operation's page latches and call Commit() *before* releasing
 /// them (the destructor commits too, for single-threaded callers with
 /// no latches). A null `wal` makes the scope inert, so call sites need
-/// no branching. Scopes never block on a checkpoint: the bracket itself
-/// is just thread-local bookkeeping.
+/// no branching. Scopes never wait for a checkpoint to finish: the
+/// bracket is thread-local bookkeeping, plus the admission wait below,
+/// which stalls at most for the few milliseconds a checkpoint's last
+/// step holds the log mutex.
 ///
 /// The buffer pool calls CapturePage() on every dirty unpin while a
 /// scope is current (thread-local); Commit() appends all captured
 /// images as one atomic record, then stamps each captured frame's page
 /// LSN and releases its wal-pending mark.
+///
+/// The one place a scope can wait is its constructor: when the buffer
+/// pool has raised RequestAdmissionFlush, the next outermost scope makes
+/// everything appended durable before its op captures anything. The
+/// thread may hold the op's tree latch, gate or DGL locks there, but no
+/// shard latch or captured frame, and the worker-driven flush needs only
+/// the log mutex, so the wait cannot deadlock.
 class WalOpScope {
  public:
   explicit WalOpScope(WalManager* wal);

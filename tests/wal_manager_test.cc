@@ -1,10 +1,11 @@
 // WalManager unit tests: group-commit durability and fsync batching,
-// the log-before-flush invariant through a real BufferPool, checkpoint
-// truncation with LSN continuity, deferred frees, and the auto-scope
-// fallback. The fsync-ordering test reads the log back through an
-// independent file descriptor after WaitDurable — the same discipline
-// the FilePageStore fsync test applies to data pages, extended here to
-// the WAL append path.
+// the log-before-flush invariant through a real BufferPool (including
+// the parking of undurable victims and the admission back-pressure that
+// bounds them), checkpoint truncation with LSN continuity, deferred
+// frees, and the auto-scope fallback. The fsync-ordering test reads the
+// log back through an independent file descriptor after WaitDurable —
+// the same discipline the FilePageStore fsync test applies to data
+// pages, extended here to the WAL append path.
 #include "storage/wal/wal_manager.h"
 
 #include <fcntl.h>
@@ -214,6 +215,43 @@ TEST(WalManagerTest, LogBeforeFlushHoldsDirtyFramesUntilDurable) {
   ASSERT_TRUE(wal->WaitDurable(wal->appended_lsn()).ok());
   pool.Resize(4);
   EXPECT_LE(pool.resident_frames(), pool.capacity());
+}
+
+TEST(WalManagerTest, EvictionWorkIsLinearAndTheUndurableBacklogIsBounded) {
+  WalManagerOptions o = BareOptions("bound");
+  o.group_commit_us = 60ull * 1000 * 1000;  // park the committer
+  auto wal = WalManager::MustOpen(o);
+  auto store = MustMakePageStore(MemStorage(), kPageSize);
+  constexpr size_t kShards = 4;
+  BufferPool pool(store.get(), /*capacity=*/16, kShards);
+  pool.set_wal(wal.get());
+  const size_t limit =
+      pool.capacity() + kShards * BufferPool::kMaxUndurableOvershoot;
+
+  // Every unpin happens inside a scope, so each victim is undurable when
+  // eviction first sees it and only the admission waits flush the log.
+  constexpr uint64_t kScopes = 2000;
+  for (uint64_t i = 0; i < kScopes; ++i) {
+    WalOpScope scope(wal.get());
+    Page* p = pool.NewPage();
+    ASSERT_LE(pool.resident_frames(), limit + 1);  // + this op's pin
+    std::memset(p->data(), static_cast<int>(i & 0xFF), kPageSize);
+    pool.UnpinPage(p->page_id(), /*dirty=*/true);
+    scope.Commit();
+    ASSERT_LE(pool.resident_frames(), limit);
+  }
+
+  const BufferStats st = pool.stats();
+  // A parked frame is looked at again only after the log moved, so the
+  // parks grow with the unpins, not with unpins x backlog.
+  EXPECT_GT(st.undurable_parks, 0u);
+  EXPECT_LE(st.undurable_parks, 2 * kScopes);
+  // The committer never woke: every fsync is an admission wait's own
+  // flush, one per request the pool raised (the last may be untaken).
+  const uint64_t fsyncs = wal->stats().fsyncs;
+  EXPECT_GT(st.backpressure_waits, 0u);
+  EXPECT_LE(fsyncs, st.backpressure_waits);
+  EXPECT_GE(fsyncs + 1, st.backpressure_waits);
 }
 
 TEST(WalManagerTest, FlushPageInsideScopeIsRejected) {
